@@ -177,7 +177,7 @@ func BenchmarkConv2DInt8(b *testing.B) {
 }
 
 // BenchmarkConvKernels compares the naive direct convolution against the
-// im2col+GEMM lowering on a conv-dominated kernel (64×32×3×3 over
+// implicit-GEMM lowering on a conv-dominated kernel (64×32×3×3 over
 // 32×32: ≈19M MACs, the regime the serving hot path lives in). The
 // engine's acceptance gate is gemm ≥ 3× naive.
 func BenchmarkConvKernels(b *testing.B) {

@@ -204,7 +204,17 @@ func main() {
 			BurnThreshold:      *sloBurnThreshold,
 		},
 	})
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	// Bound connection time so a slow or idle client cannot pin a
+	// connection: headers within 5 s, the whole request (bodies are
+	// bounded per endpoint by the handlers) within 30 s, and idle
+	// keep-alive connections closed after 2 min.
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 
 	var debugSrv *http.Server
 	if *debugAddr != "" {

@@ -32,7 +32,8 @@ func ValidBackend(name string) bool {
 // with each other on the same weight image at every worker count —
 // only where the int8 MACs come from differs:
 //
-//   - dense: im2col + tiled int8 GEMM over the dense weight tensor
+//   - dense: implicit-GEMM conv (taps read from a zero-padded
+//     activation slab) and tiled int8 GEMM over the dense weights
 //   - sparse: the same tiling over the block-sparse packed image,
 //     skipping fully-zero SparseBlockRows×1 weight blocks
 //   - naive: the direct conv/FC reference kernels (the oracle)
@@ -74,7 +75,7 @@ func (d *DPU) bramImage(kn *KernelNode) *quant.QTensor {
 	return kn.WQ
 }
 
-// denseBackend is the im2col+GEMM engine over dense weights.
+// denseBackend is the implicit-GEMM engine over dense weights.
 type denseBackend struct{}
 
 func (denseBackend) Name() string { return BackendDense }

@@ -8,8 +8,8 @@ import (
 	"fpgauv/internal/tensor"
 )
 
-// Scratch is a per-worker arena for the inference hot path: the im2col
-// patch buffer, the int32 accumulator, the quantized-input staging tensor,
+// Scratch is a per-worker arena for the inference hot path: the padded
+// activation slab, the int32 accumulator, the quantized-input staging tensor,
 // and a per-node activation ring, all keyed by the compiled kernel's
 // shapes. A Scratch is bound to one kernel at a time (re-binding on a
 // kernel change is automatic) and must never be shared by concurrent
@@ -29,7 +29,7 @@ type Scratch struct {
 
 	res Result // per-run result staging
 
-	col []int8  // im2col patch matrix
+	col []int8  // padded activation slab of the conv lowering
 	acc []int32 // int32 GEMM accumulators
 
 	inQ  quant.QTensor    // quantized input staging

@@ -518,6 +518,12 @@ func (p *Pool) Infer(ctx context.Context, req InferRequest) (InferResult, error)
 
 // submit runs the shared admission/wait protocol for one job.
 func (p *Pool) submit(ctx context.Context, j *job) (jobOut, error) {
+	// A caller that is already gone queues nothing. Checked up front
+	// because the wait below picks at random when the job finished
+	// before the caller reached it.
+	if err := ctx.Err(); err != nil {
+		return jobOut{}, err
+	}
 	p.admit.RLock()
 	if p.closing.Load() {
 		p.admit.RUnlock()

@@ -2,16 +2,15 @@ package quant
 
 import "fmt"
 
-// This file is the batched extension of the GEMM lowering: N images'
-// patch matrices stack into one tall multi-RHS GEMM per convolution, and
-// the fully-connected GEMV becomes a GEMM over the batch. Both produce
-// per-image accumulator blocks laid out exactly like the single-image
-// lowerings (image b's block is acc[b*blockLen:(b+1)*blockLen]), so the
-// per-image MAC-fault injection and the requantize epilogue operate on a
-// batch member bit-exactly as they would on a lone image. Accumulation
-// order per output element — bias, then taps in (inC, ky, kx) order — is
-// identical to the single-image kernels, so every element is bit-exact
-// with Conv2DInt8Gemm / DenseInt8Gemm on the same input.
+// This file holds the batch entry points — the one lowering per layer
+// kind that every conv/FC call goes through (single-image entries are a
+// batch of one). Each produces per-image accumulator blocks (image b's
+// block is acc[b*blockLen:(b+1)*blockLen]), so the per-image MAC-fault
+// injection and the requantize epilogue operate on a batch member
+// bit-exactly as they would on a lone image. Accumulation order per
+// output element — bias, then taps in (inC, ky, kx) order — matches the
+// naive kernels, so every element is bit-exact with Conv2DInt8 /
+// DenseInt8 on the same input.
 
 // validateBatch checks that every batch member shares the first image's
 // geometry (the compiled kernel admits exactly one input shape).
@@ -33,12 +32,12 @@ func validateBatch(xs []*QTensor) error {
 	return nil
 }
 
-// Conv2DInt8GemmBatch is the batched lowering of Conv2DInt8Gemm: every
-// image is unfolded into one stacked patch matrix (image b's slab at
-// col[b*Pixels*Cols:]) and a single multi-RHS GEMM computes the whole
-// batch. Image b's accumulators are
-// (*acc)[b*sh.AccLen():(b+1)*sh.AccLen()] in the single-image OutC×Pixels
-// layout. Both buffers are grown in place and reused across calls.
+// Conv2DInt8GemmBatch is the implicit-GEMM conv lowering (see
+// convLower): every image is copied into its zero-bordered slab in
+// *col and the tiled walkers read taps from it, so no im2col patch
+// matrix is built. Image b's accumulators are
+// (*acc)[b*sh.AccLen():(b+1)*sh.AccLen()] in OutC×Pixels layout. Both
+// buffers are grown in place and reused across calls.
 func Conv2DInt8GemmBatch(xs []*QTensor, w *QTensor, biasQ []int32, stride, pad int, col *[]int8, acc *[]int32) (ConvShape, error) {
 	if err := validateBatch(xs); err != nil {
 		return ConvShape{}, err
@@ -47,36 +46,15 @@ func Conv2DInt8GemmBatch(xs []*QTensor, w *QTensor, biasQ []int32, stride, pad i
 	if err != nil {
 		return sh, err
 	}
-	n := len(xs)
-	slab := sh.Cols() * sh.Pixels()
-	*col = growInt8(*col, n*slab)
-	*acc = growInt32(*acc, n*sh.AccLen())
-	for b, x := range xs {
-		Im2colInt8(x, sh, (*col)[b*slab:(b+1)*slab])
-	}
-	gemmInt8MultiRHS(*acc, w.Data, *col, sh.OutC, sh.Cols(), n, sh.Pixels(), biasQ)
+	convLower(xs, sh, w.Data, nil, biasQ, col, acc)
 	return sh, nil
 }
 
-// gemmInt8MultiRHS computes the stacked product: a[m×k] against n
-// patch-major RHS slabs of pix columns each (bt[b*pix*k:] is slab b),
-// writing per-slab output blocks dst[b*m*pix:] in row-major m×pix
-// layout. The slab × macro-tile grid is split across the worker pool
-// (gemm_tiled.go); at one worker the slabs run in order, keeping the
-// small weight matrix cache-resident across the whole stacked walk
-// while each patch slab streams exactly once. Per-element accumulation
-// order is identical to gemmInt8 at every width, so the stacked product
-// is bit-exact with n independent single-image GEMMs.
-func gemmInt8MultiRHS(dst []int32, a, bt []int8, m, k, n, pix int, bias []int32) {
-	gemmInt8Tiled(dst, a, bt, m, k, n, pix, bias)
-}
-
-// DenseInt8GemmBatch is the batched lowering of DenseInt8Gemm: the
-// fully-connected GEMV becomes a multi-RHS GEMM over the batch, so each
-// weight row streams once per gemmCols-wide image tile instead of once
-// per image. Image b's accumulators are (*acc)[b*out:(b+1)*out]; the
-// buffer is grown in place and reused across calls. Bit-exact with
-// DenseInt8Gemm applied per image.
+// DenseInt8GemmBatch is the batched FC lowering: a multi-RHS GEMM over
+// the batch, so each weight row streams once per gemmCols-wide image
+// tile instead of once per image. Image b's accumulators are
+// (*acc)[b*out:(b+1)*out]; the buffer is grown in place and reused
+// across calls. Bit-exact with DenseInt8 applied per image.
 func DenseInt8GemmBatch(xs []*QTensor, w *QTensor, biasQ []int32, acc *[]int32) (int, error) {
 	if err := validateBatch(xs); err != nil {
 		return 0, err
@@ -91,9 +69,8 @@ func DenseInt8GemmBatch(xs []*QTensor, w *QTensor, biasQ []int32, acc *[]int32) 
 	if len(biasQ) != out {
 		return 0, fmt.Errorf("quant: fc bias length %d != %d", len(biasQ), out)
 	}
-	n := len(xs)
-	*acc = growInt32(*acc, n*out)
-	denseInt8Tiled(*acc, w.Data, biasQ, nil, xs, in, out)
+	*acc = growInt32(*acc, len(xs)*out)
+	fcLower(*acc, w.Data, nil, biasQ, xs, in, out)
 	return out, nil
 }
 
@@ -102,7 +79,7 @@ func DenseInt8GemmBatch(xs []*QTensor, w *QTensor, biasQ []int32, acc *[]int32) 
 // are the outer loop so each gemmRows-row group streams the batch once;
 // restricting the row range leaves every element's reduction untouched,
 // so row-banded parallel calls are bit-exact with one full-range call
-// and with DenseInt8Gemm per image.
+// and with DenseInt8 per image.
 func denseInt8Rows(dst []int32, wd []int8, bias []int32, xs []*QTensor, in, out, o0, o1 int) {
 	n := len(xs)
 	o := o0

@@ -2,6 +2,7 @@ package quant
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -164,41 +165,51 @@ func TestDenseGemmEquivalence(t *testing.T) {
 	}
 }
 
-// TestRequantizeIntoMatchesReference checks the fused epilogue against
-// Requantize (+ReLUQ) and its buffer-reuse semantics.
+// TestRequantizeIntoMatchesReference checks the fused single-clamp
+// epilogue against Requantize (+ReLUQ) and against the per-element
+// clamp-then-ReLU formulation — at every precision, at the int32
+// accumulator extremes and at scale ratios far from one — and its
+// buffer-reuse semantics.
 func TestRequantizeIntoMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	acc := make([]int32, 500)
-	for i := range acc {
-		acc[i] = rng.Int31() - 1<<30
+	acc := []int32{math.MinInt32, math.MinInt32 + 1, -1, 0, 1, math.MaxInt32 - 1, math.MaxInt32}
+	for len(acc) < 500 {
+		v := int32(rng.Uint32()) // full int32 range
+		if len(acc)%2 == 0 {
+			v = rng.Int31() - 1<<30
+		}
+		acc = append(acc, v)
 	}
 	dims := []int{5, 10, 10}
-	for _, bits := range []int{8, 4, 2} {
-		ref, err := Requantize(acc, dims, 0.003, 0.07, bits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var dst QTensor
-		if err := RequantizeInto(&dst, acc, 0.003, 0.07, bits, false, dims...); err != nil {
-			t.Fatal(err)
-		}
-		for i := range ref.Data {
-			if dst.Data[i] != ref.Data[i] {
-				t.Fatalf("bits=%d: code[%d] %d != %d", bits, i, dst.Data[i], ref.Data[i])
+	for _, bits := range []int{8, 7, 6, 5, 4, 2} {
+		for _, sc := range [][2]float32{{0.003, 0.07}, {1e-9, 0.5}, {2, 1e-3}} {
+			ratio := float64(sc[0]) / float64(sc[1])
+			ref, err := Requantize(acc, dims, sc[0], sc[1], bits)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		// Fused ReLU == Requantize then ReLUQ.
-		refRelu := ReLUQ(ref.Clone())
-		if err := RequantizeInto(&dst, acc, 0.003, 0.07, bits, true, dims...); err != nil {
-			t.Fatal(err)
-		}
-		for i := range refRelu.Data {
-			if dst.Data[i] != refRelu.Data[i] {
-				t.Fatalf("bits=%d relu: code[%d] %d != %d", bits, i, dst.Data[i], refRelu.Data[i])
+			refRelu := ReLUQ(ref.Clone())
+			var dst QTensor // reused across both calls
+			for _, relu := range []bool{false, true} {
+				if err := RequantizeInto(&dst, acc, sc[0], sc[1], bits, relu, dims...); err != nil {
+					t.Fatal(err)
+				}
+				for i, a := range acc {
+					want := clampToInt8(int32(math.RoundToEven(float64(a)*ratio)), QMax(bits))
+					viaRef := ref.Data[i]
+					if relu {
+						want = max(want, 0)
+						viaRef = refRelu.Data[i]
+					}
+					if dst.Data[i] != want || dst.Data[i] != viaRef {
+						t.Fatalf("bits=%d scales=%v relu=%v acc=%d: code %d, want %d (Requantize path %d)",
+							bits, sc, relu, a, dst.Data[i], want, viaRef)
+					}
+				}
+				if len(dst.Dims) != 3 || dst.Dims[0] != 5 {
+					t.Fatalf("dims not written: %v", dst.Dims)
+				}
 			}
-		}
-		if len(dst.Dims) != 3 || dst.Dims[0] != 5 {
-			t.Fatalf("dims not written: %v", dst.Dims)
 		}
 	}
 	var dst QTensor

@@ -3,22 +3,23 @@ package quant
 import "sync"
 
 // This file is the macro-tile layer between the GEMM entry points and
-// the worker pool in parallel.go: the register-blocked kernel
-// (gemmInt8Block) becomes the inner kernel of a cache-blocked loop over
-// tileM×tileN output macro-tiles, and those tiles are the unit of work
-// split across RunTiles. The partition is strictly over output
-// coordinates (M rows × N columns × batch slabs) — K is NEVER split, so
-// each output element's full dot product runs on exactly one worker in
-// the same modular-int32 order as the serial kernel, which is what
-// keeps every parallel width bit-exact against the naive oracle.
-// Workers write disjoint dst regions and only read the shared a/bt
-// operands, so no synchronization beyond job completion is needed, and
-// the job structs recycle through sync.Pools so the steady state
-// allocates nothing.
+// the worker pool in parallel.go: the register-blocked kernels become
+// the inner kernels of a cache-blocked loop over tileM×tileN output
+// macro-tiles, and those tiles are the unit of work split across
+// RunTiles. The partition is strictly over output coordinates (M rows
+// × N columns × batch slabs) — K is NEVER split, so each output
+// element's full dot product runs on exactly one worker in the same
+// modular-int32 order as the serial kernel, which is what keeps every
+// parallel width bit-exact against the naive oracle. Workers write
+// disjoint dst regions and only read the shared weights and padded
+// slabs, so no synchronization beyond job completion is needed, and the
+// job structs recycle through sync.Pools so the steady state allocates
+// nothing. With one worker RunTiles runs the tiles in order on the
+// caller.
 
 // tileM×tileN is the macro-tile: the output block one worker computes
 // per claim. At int8 operands a 32-row × 64-column tile touches
-// 32 rows of A plus 64 patch columns — comfortably L1/L2-resident for
+// 32 rows of A plus 64 pixels' taps — comfortably L1/L2-resident for
 // this repo's layer shapes (k up to a few thousand) — while the
 // benchmark conv (64×1024 output) still splits into 32 tiles, enough
 // granularity for the atomic cursor to balance ragged finishes. tileM
@@ -28,30 +29,37 @@ const (
 	tileN = 64
 )
 
-// gemmJob is the pooled work descriptor of one (possibly multi-slab)
-// tiled GEMM: tile index t decomposes as (slab, row-tile, col-tile) and
-// maps to a gemmInt8Block call on that sub-rectangle.
-type gemmJob struct {
+// convJob is the pooled work descriptor of one implicit-GEMM
+// convolution over a batch: tile index t decomposes as (slab, row-tile,
+// col-tile). Exactly one of a (dense OutC×Cols weights) and sw (the
+// block-sparse image) is set.
+type convJob struct {
 	TileJob
-	dst      []int32
-	a, bt    []int8
-	bias     []int32
-	m, k, n  int
-	mt, nt   int // row/column tile counts per slab
-	blockLen int // m*n: one slab's output block
-	slabLen  int // n*k: one slab's patch matrix
+	dst     []int32
+	a       []int8
+	sw      *SparseWeights
+	xp      []int8 // padded slabs, image b at xp[b*t.padLen:]
+	t       *taps
+	bias    []int32
+	m, k, n int
+	mt, nt  int // row/column tile counts per slab
 }
 
-var gemmJobs = sync.Pool{New: func() any { return new(gemmJob) }}
+var convJobs = sync.Pool{New: func() any { return new(convJob) }}
 
-func (g *gemmJob) Job() *TileJob { return &g.TileJob }
+// panels is the free list of the dense walker's B panels (tileN×K),
+// at most one per concurrently running tile. A channel rather than a
+// sync.Pool: the GC never empties it, so warm panels stay warm.
+var panels = make(chan []int8, maxGemmWorkers)
 
-func (g *gemmJob) Recycle() {
-	g.dst, g.a, g.bt, g.bias = nil, nil, nil, nil
-	gemmJobs.Put(g)
+func (g *convJob) Job() *TileJob { return &g.TileJob }
+
+func (g *convJob) Recycle() {
+	g.dst, g.a, g.sw, g.xp, g.t, g.bias = nil, nil, nil, nil, nil, nil
+	convJobs.Put(g)
 }
 
-func (g *gemmJob) Tile(t int) {
+func (g *convJob) Tile(t int) {
 	per := g.mt * g.nt
 	b := t / per
 	t -= b * per
@@ -61,87 +69,98 @@ func (g *gemmJob) Tile(t int) {
 	i1 := min(i0+tileM, g.m)
 	j0 := tj * tileN
 	j1 := min(j0+tileN, g.n)
-	dst := g.dst[b*g.blockLen : (b+1)*g.blockLen]
-	bt := g.bt[b*g.slabLen : (b+1)*g.slabLen]
-	gemmInt8Block(dst, g.a, bt, i0, i1, j0, j1, g.k, g.n, g.bias)
-}
-
-// gemmInt8Tiled computes slabs independent products dst[b] =
-// a[m×k]·bt[b][n×k]ᵀ (the multi-RHS stacked layout of
-// gemmInt8MultiRHS; slabs == 1 is the single-image case), splitting the
-// slab × macro-tile grid across the worker pool. With one effective
-// worker — or a problem too small to tile — it falls through to the
-// serial kernel unchanged, so the 1-worker path is byte-for-byte
-// today's gemmInt8 loop.
-func gemmInt8Tiled(dst []int32, a, bt []int8, m, k, slabs, n int, bias []int32) {
-	mt := (m + tileM - 1) / tileM
-	nt := (n + tileN - 1) / tileN
-	tiles := slabs * mt * nt
-	if tiles <= 1 || Workers() <= 1 {
-		block, slab := m*n, n*k
-		for b := 0; b < slabs; b++ {
-			gemmInt8(dst[b*block:(b+1)*block], a, bt[b*slab:(b+1)*slab], m, k, n, bias)
-		}
+	block := g.m * g.n
+	dst := g.dst[b*block : (b+1)*block]
+	xb := g.xp[b*g.t.padLen : (b+1)*g.t.padLen]
+	if g.sw != nil {
+		sparseConvBlock(dst, g.sw, xb, g.t, i0, i1, j0, j1, g.n, g.bias)
 		return
 	}
-	g := gemmJobs.Get().(*gemmJob)
-	g.dst, g.a, g.bt, g.bias = dst, a, bt, bias
-	g.m, g.k, g.n = m, k, n
-	g.mt, g.nt = mt, nt
-	g.blockLen, g.slabLen = m*n, n*k
-	RunTiles(tiles, g)
+	// Dense walker: gather the tile's pixels into a patch-major B panel,
+	// then run the register kernel over the tile against it.
+	var panel []int8
+	select {
+	case panel = <-panels:
+	default:
+	}
+	panel = growInt8(panel, tileN*g.k)
+	g.t.gather(panel, xb, j0, j1-j0)
+	gemmInt8Block(dst[j0:], g.a, panel, i0, i1, 0, j1-j0, g.k, g.n, g.bias)
+	select {
+	case panels <- panel:
+	default:
+	}
 }
 
-// denseJob is the pooled work descriptor of a row-tiled FC product:
-// tile t covers output rows [t*tileM, (t+1)*tileM). Exactly one of
-// x (single image) or xs (batch) is set.
-type denseJob struct {
+// convLower is the implicit-GEMM lowering shared by both conv backends:
+// it copies each image into its zero-bordered slab in *col, then splits
+// the slab × macro-tile grid of the OutC×Pixels products across the
+// worker pool. Image b's accumulators land at
+// (*acc)[b*sh.AccLen():(b+1)*sh.AccLen()] in OutC×Pixels layout.
+//
+// *col is grown to the larger of the padded slabs and the im2col patch
+// matrix of the batch, so a caller may reuse it as the destination of
+// Im2colInt8 on the same shape (perfbench's im2col probe does); only
+// the slab prefix is written here.
+func convLower(xs []*QTensor, sh ConvShape, a []int8, sw *SparseWeights, bias []int32, col *[]int8, acc *[]int32) {
+	t := tapsFor(sh)
+	n := len(xs)
+	*col = growInt8(*col, n*max(t.padLen, sh.Cols()*sh.Pixels()))
+	*acc = growInt32(*acc, n*sh.AccLen())
+	for b, x := range xs {
+		t.pad((*col)[b*t.padLen:(b+1)*t.padLen], x.Data)
+	}
+	g := convJobs.Get().(*convJob)
+	g.dst, g.a, g.sw, g.xp, g.t, g.bias = *acc, a, sw, *col, t, bias
+	g.m, g.k, g.n = sh.OutC, sh.Cols(), sh.Pixels()
+	g.mt, g.nt = (g.m+tileM-1)/tileM, (g.n+tileN-1)/tileN
+	RunTiles(n*g.mt*g.nt, g)
+}
+
+// fcJob is the pooled work descriptor of a row-tiled batched FC
+// product: tile t covers output rows [t*tileM, (t+1)*tileM). Exactly
+// one of w (dense) and sw (block-sparse) is set. xs is a job-owned copy
+// of the batch's tensor pointers, so a caller's batch-of-one array
+// stays on its stack.
+type fcJob struct {
 	TileJob
 	dst     []int32
 	w       []int8
+	sw      *SparseWeights
 	bias    []int32
-	x       []int8
 	xs      []*QTensor
 	in, out int
 }
 
-var denseJobs = sync.Pool{New: func() any { return new(denseJob) }}
+var fcJobs = sync.Pool{New: func() any { return new(fcJob) }}
 
-func (d *denseJob) Job() *TileJob { return &d.TileJob }
+func (d *fcJob) Job() *TileJob { return &d.TileJob }
 
-func (d *denseJob) Recycle() {
-	d.dst, d.w, d.bias, d.x, d.xs = nil, nil, nil, nil, nil
-	denseJobs.Put(d)
+func (d *fcJob) Recycle() {
+	clear(d.xs)
+	d.dst, d.w, d.sw, d.bias, d.xs = nil, nil, nil, nil, d.xs[:0]
+	fcJobs.Put(d)
 }
 
-func (d *denseJob) Tile(t int) {
+func (d *fcJob) Tile(t int) {
 	o0 := t * tileM
 	o1 := min(o0+tileM, d.out)
-	if d.x != nil {
-		denseInt8GEMV(d.dst, d.w, d.bias, d.x, d.in, o0, o1)
+	if d.sw != nil {
+		sparseDenseRows(d.dst, d.sw, d.bias, d.xs, d.out, o0, o1)
 		return
 	}
 	denseInt8Rows(d.dst, d.w, d.bias, d.xs, d.in, d.out, o0, o1)
 }
 
-// denseInt8Tiled computes the FC product for one image (xd set) or a
-// batch (xs set), splitting tileM-row output bands across the worker
+// fcLower computes the batched FC product (image b's row o at
+// dst[b*out+o]), splitting tileM-row output bands across the worker
 // pool. Row bands partition only the output dimension — every band
-// streams the full input(s) — so each output element is computed by one
+// streams the full inputs — so each output element is computed by one
 // worker in serial accumulation order: bit-exact at every width.
-func denseInt8Tiled(dst []int32, wd []int8, bias []int32, xd []int8, xs []*QTensor, in, out int) {
-	tiles := (out + tileM - 1) / tileM
-	if tiles <= 1 || Workers() <= 1 {
-		if xs == nil {
-			denseInt8GEMV(dst, wd, bias, xd, in, 0, out)
-			return
-		}
-		denseInt8Rows(dst, wd, bias, xs, in, out, 0, out)
-		return
-	}
-	d := denseJobs.Get().(*denseJob)
-	d.dst, d.w, d.bias = dst, wd, bias
-	d.x, d.xs = xd, xs
+func fcLower(dst []int32, w []int8, sw *SparseWeights, bias []int32, xs []*QTensor, in, out int) {
+	d := fcJobs.Get().(*fcJob)
+	d.dst, d.w, d.sw, d.bias = dst, w, sw, bias
+	d.xs = append(d.xs, xs...)
 	d.in, d.out = in, out
-	RunTiles(tiles, d)
+	RunTiles((out+tileM-1)/tileM, d)
 }

@@ -3,9 +3,10 @@ package quant
 import "fmt"
 
 // ConvShape is the resolved geometry of one int8 convolution: the GEMM
-// lowering maps the weight tensor to an OutC × Cols matrix and the im2col
-// patch matrix to Cols × Pixels, so the convolution becomes a single
-// (OutC × Cols)·(Cols × Pixels) product.
+// lowering maps the weight tensor to an OutC × Cols matrix and the
+// receptive fields to a logical Cols × Pixels patch matrix, so the
+// convolution becomes a single (OutC × Cols)·(Cols × Pixels) product.
+// The serving path never materializes the patch matrix (see taps.go).
 type ConvShape struct {
 	InC, InH, InW    int
 	OutC, OutH, OutW int
@@ -55,8 +56,9 @@ func ConvShapeOf(x, w *QTensor, biasQ []int32, stride, pad int) (ConvShape, erro
 // Im2colInt8 unfolds x into the patch-major Pixels × Cols matrix: row p
 // (one per output pixel) holds that pixel's receptive field in
 // (ic, ky, kx) order — the reduction order of the naive kernel — with
-// zeros where a tap falls in the padding. Patch-major layout makes each
-// GEMM dot product a walk over two contiguous rows.
+// zeros where a tap falls in the padding. It is off the serving path:
+// the implicit GEMM reads the same elements through its tap tables,
+// and this unfold is the oracle they are tested against.
 //
 // The unfold is interior/border split: output pixels whose receptive
 // field is fully in-bounds take the steady-state path — straight

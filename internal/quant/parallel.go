@@ -19,9 +19,12 @@ import (
 // Work items are Tiler values whose coordination state (TileJob) is
 // embedded in a caller-pooled struct, so a steady-state parallel GEMM
 // performs no heap allocation: no closures are captured and the job
-// structs recycle through sync.Pools guarded by a reference count (a
-// helper may still hold a drained job it received late; the last
-// holder — caller or helper — recycles it).
+// structs recycle through sync.Pools. Offers carry the job's
+// generation: a helper joins only while the generation still matches,
+// and the caller, once every tile is done, bumps the generation and
+// waits out the helpers that did join. A stale offer that a helper
+// receives late is then simply dropped, so the caller always recycles
+// its own job — on its own P, which keeps the pools warm.
 
 // maxGemmWorkers is the hard cap on the pool size: tile parallelism is
 // memory-bandwidth-bound well before this, and an unbounded pool would
@@ -34,8 +37,15 @@ var workerOverride atomic.Int64
 
 // tileQueue carries offered jobs to the helper goroutines. Buffered so
 // an offer can land even while every helper is mid-tile; a helper that
-// receives an already-drained job releases it and moves on.
-var tileQueue = make(chan Tiler, maxGemmWorkers)
+// receives an offer of a finished job drops it.
+var tileQueue = make(chan tileOffer, maxGemmWorkers)
+
+// tileOffer is one invitation to help drain a job: the job and the
+// generation it was offered at.
+type tileOffer struct {
+	t   Tiler
+	gen uint32
+}
 
 // helperCount tracks spawned helper goroutines (at most
 // maxGemmWorkers-1; the caller is always the remaining executor).
@@ -76,14 +86,43 @@ type TileJob struct {
 	n    int64
 	next atomic.Int64
 	wg   sync.WaitGroup
-	refs atomic.Int32
+	// state packs the offer generation (high 32 bits) and the count of
+	// helpers currently joined (low 32 bits).
+	state atomic.Uint64
+}
+
+// join admits a helper holding an offer of generation gen; it fails
+// once the job has moved past that generation.
+func (j *TileJob) join(gen uint32) bool {
+	for {
+		s := j.state.Load()
+		if uint32(s>>32) != gen {
+			return false
+		}
+		if j.state.CompareAndSwap(s, s+1) {
+			return true
+		}
+	}
+}
+
+// leave drops a joined helper.
+func (j *TileJob) leave() { j.state.Add(^uint64(0)) }
+
+// retire closes the current generation to new joins and waits for the
+// joined helpers to leave. It runs after every tile is done, so those
+// helpers are only finding the cursor exhausted.
+func (j *TileJob) retire() {
+	j.state.Add(1 << 32)
+	for uint32(j.state.Load()) != 0 {
+		runtime.Gosched()
+	}
 }
 
 // Tiler is one parallelizable job: Tile(i) computes index i of a dense
 // [0, n) space, with distinct indices safe to run concurrently. Job
 // exposes the embedded coordination state; Recycle returns the value to
-// its owner's pool once the last holder drops it (RunTiles consumes the
-// Tiler — callers must not touch it after the call).
+// its owner's pool, which RunTiles does before returning (RunTiles
+// consumes the Tiler — callers must not touch it after the call).
 type Tiler interface {
 	Tile(i int)
 	Job() *TileJob
@@ -112,22 +151,21 @@ func RunTiles(n int, t Tiler) {
 	j.n = int64(n)
 	j.next.Store(0)
 	j.wg.Add(n)
-	j.refs.Store(1)
+	offer := tileOffer{t, uint32(j.state.Load() >> 32)}
 	ensureHelpers(w - 1)
 	for i := 0; i < w-1; i++ {
-		j.refs.Add(1)
 		select {
-		case tileQueue <- t:
+		case tileQueue <- offer:
 		default:
 			// Queue full: every helper is busy (or has a pending offer);
 			// stop offering and do the rest ourselves.
-			j.refs.Add(-1)
 			i = w
 		}
 	}
 	drainTiles(t, j)
 	j.wg.Wait()
-	releaseTile(t, j)
+	j.retire()
+	t.Recycle()
 }
 
 // drainTiles claims and runs tiles until the job's cursor passes the
@@ -141,17 +179,6 @@ func drainTiles(t Tiler, j *TileJob) {
 		}
 		t.Tile(int(i))
 		j.wg.Done()
-	}
-}
-
-// releaseTile drops one holder's reference; the last one recycles the
-// job. The reference count is what makes sync.Pool reuse safe: a job
-// can sit in tileQueue (or in a busy helper's hand) after its caller
-// finished, and it must not be handed to a new owner until that stale
-// holder has let go.
-func releaseTile(t Tiler, j *TileJob) {
-	if j.refs.Add(-1) == 0 {
-		t.Recycle()
 	}
 }
 
@@ -174,12 +201,15 @@ func ensureHelpers(want int) {
 	}
 }
 
-// tileHelper is one pool worker: receive a job, help drain it, release
-// it, repeat forever.
+// tileHelper is one pool worker: receive an offer, help drain the job
+// if it is still open, repeat forever.
 func tileHelper() {
-	for t := range tileQueue {
-		j := t.Job()
-		drainTiles(t, j)
-		releaseTile(t, j)
+	for o := range tileQueue {
+		j := o.t.Job()
+		if !j.join(o.gen) {
+			continue
+		}
+		drainTiles(o.t, j)
+		j.leave()
 	}
 }

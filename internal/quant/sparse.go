@@ -10,7 +10,7 @@ import (
 // pipeline. The format is aligned to the tiling hierarchy in
 // gemm_tiled.go: the skip unit is the SparseBlockRows×1 column slice of
 // the weight matrix that feeds one K-step of the 4×2 register tile, so
-// a fully-zero block is skipped without touching the patch matrix and a
+// a fully-zero block is skipped without reading its activation tap and a
 // nonzero block runs the exact 8-MAC step of the dense inner kernel.
 // Because a skipped block contributes only exact zeros to the int32
 // accumulators and the surviving blocks accumulate in the same
@@ -193,16 +193,17 @@ func (s *SparseWeights) UnpackInto(dst *QTensor) {
 	}
 }
 
-// sparseGemmBlock computes dst rows [i0,i1) × columns [j0,j1) of the
-// M×n product against the patch-major RHS bt (n rows of K), with ld the
-// dst row stride — the sparse form of gemmInt8Block. i0 must be a
-// multiple of SparseBlockRows (macro-tile rows are). Per row group it
-// walks the nonzero bitmap with TrailingZeros64 and runs the dense
-// kernel's 8-MAC step once per surviving block: identical accumulation
-// order over identical nonzero terms, so the result is bit-exact with
-// the dense kernel on the unpacked weights.
-func sparseGemmBlock(dst []int32, sw *SparseWeights, bt []int8, i0, i1, j0, j1, ld int, bias []int32) {
-	k := sw.K
+// sparseConvBlock computes dst rows [i0,i1) × columns [j0,j1) of one
+// image's OutC×Pixels conv product, with ld the dst row stride — the
+// sparse walker of the implicit GEMM. i0 must be a multiple of
+// SparseBlockRows (macro-tile rows are). Per row group it walks the
+// nonzero bitmap with TrailingZeros64 and, for each surviving block p,
+// reads the tap straight from the padded slab xb at base[j] + off[p],
+// so pruned taps are never touched; the 8-MAC step is the dense
+// kernel's. Identical accumulation order over identical nonzero terms,
+// so the result is bit-exact with the dense kernel on the unpacked
+// weights.
+func sparseConvBlock(dst []int32, sw *SparseWeights, xb []int8, t *taps, i0, i1, j0, j1, ld int, bias []int32) {
 	pd := sw.Packed.Data
 	for i := i0; i < i1; i += SparseBlockRows {
 		r := i / SparseBlockRows
@@ -222,8 +223,8 @@ func sparseGemmBlock(dst []int32, sw *SparseWeights, bt []int8, i0, i1, j0, j1, 
 		}
 		j := j0
 		for ; j+gemmCols <= j1; j += gemmCols {
-			x0 := bt[(j+0)*k : (j+1)*k]
-			x1 := bt[(j+1)*k : (j+2)*k]
+			x0 := xb[t.base[j]:]
+			x1 := xb[t.base[j+1]:]
 			s00, s01 := bi0, bi0
 			s10, s11 := bi1, bi1
 			s20, s21 := bi2, bi2
@@ -234,8 +235,9 @@ func sparseGemmBlock(dst []int32, sw *SparseWeights, bt []int8, i0, i1, j0, j1, 
 				for word != 0 {
 					p := pBase + bits.TrailingZeros64(word)
 					word &= word - 1
-					v0 := int32(x0[p])
-					v1 := int32(x1[p])
+					off := t.off[p]
+					v0 := int32(x0[off])
+					v1 := int32(x1[off])
 					w0 := int32(pd[blk])
 					w1 := int32(pd[blk+1])
 					w2 := int32(pd[blk+2])
@@ -263,7 +265,7 @@ func sparseGemmBlock(dst []int32, sw *SparseWeights, bt []int8, i0, i1, j0, j1, 
 			}
 		}
 		for ; j < j1; j++ {
-			x0 := bt[j*k : (j+1)*k]
+			x0 := xb[t.base[j]:]
 			s0, s1, s2, s3 := bi0, bi1, bi2, bi3
 			blk := base
 			for wi, word := range bm {
@@ -271,7 +273,7 @@ func sparseGemmBlock(dst []int32, sw *SparseWeights, bt []int8, i0, i1, j0, j1, 
 				for word != 0 {
 					p := pBase + bits.TrailingZeros64(word)
 					word &= word - 1
-					v := int32(x0[p])
+					v := int32(x0[t.off[p]])
 					s0 += int32(pd[blk]) * v
 					s1 += int32(pd[blk+1]) * v
 					s2 += int32(pd[blk+2]) * v

@@ -1,177 +1,36 @@
 package quant
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
-// This file lifts the sparse block kernel through the same macro-tile /
-// worker-pool hierarchy as the dense engine (gemm_tiled.go): tileM×tileN
-// output macro-tiles over batch slabs, split across RunTiles, with K
-// never split — each output element's full reduction runs on exactly
-// one worker in the serial kernel's order, so every parallel width is
-// bit-exact with the one-worker path and with the dense/naive oracles.
-// tileM is a multiple of SparseBlockRows, so macro-tile row boundaries
-// never split a skip block.
+// This file holds the sparse backend's entry points. They share the
+// dense engine's macro-tile / worker-pool hierarchy (gemm_tiled.go):
+// tileM×tileN output macro-tiles over batch slabs, split across
+// RunTiles, with K never split — each output element's full reduction
+// runs on exactly one worker in the serial kernel's order, so every
+// parallel width is bit-exact with the one-worker path and with the
+// dense/naive oracles. tileM is a multiple of SparseBlockRows, so
+// macro-tile row boundaries never split a skip block.
 
-// sparseGemmJob is the pooled work descriptor of a (possibly
-// multi-slab) sparse tiled GEMM, the sparse twin of gemmJob.
-type sparseGemmJob struct {
-	TileJob
-	dst      []int32
-	sw       *SparseWeights
-	bt       []int8
-	bias     []int32
-	n        int
-	mt, nt   int // row/column tile counts per slab
-	blockLen int // m*n: one slab's output block
-	slabLen  int // n*k: one slab's patch matrix
-}
-
-var sparseGemmJobs = sync.Pool{New: func() any { return new(sparseGemmJob) }}
-
-func (g *sparseGemmJob) Job() *TileJob { return &g.TileJob }
-
-func (g *sparseGemmJob) Recycle() {
-	g.dst, g.sw, g.bt, g.bias = nil, nil, nil, nil
-	sparseGemmJobs.Put(g)
-}
-
-func (g *sparseGemmJob) Tile(t int) {
-	per := g.mt * g.nt
-	b := t / per
-	t -= b * per
-	ti := t / g.nt
-	tj := t - ti*g.nt
-	i0 := ti * tileM
-	i1 := min(i0+tileM, g.sw.M)
-	j0 := tj * tileN
-	j1 := min(j0+tileN, g.n)
-	dst := g.dst[b*g.blockLen : (b+1)*g.blockLen]
-	bt := g.bt[b*g.slabLen : (b+1)*g.slabLen]
-	sparseGemmBlock(dst, g.sw, bt, i0, i1, j0, j1, g.n, g.bias)
-}
-
-// sparseGemmInt8Tiled computes slabs independent products dst[b] =
-// sw[M×K]·bt[b][n×K]ᵀ, splitting the slab × macro-tile grid across the
-// worker pool — the sparse form of gemmInt8Tiled, with the same serial
-// fallback when the pool or the problem is width-1.
-func sparseGemmInt8Tiled(dst []int32, sw *SparseWeights, bt []int8, slabs, n int, bias []int32) {
-	m, k := sw.M, sw.K
-	mt := (m + tileM - 1) / tileM
-	nt := (n + tileN - 1) / tileN
-	tiles := slabs * mt * nt
-	if tiles <= 1 || Workers() <= 1 {
-		block, slab := m*n, n*k
-		for b := 0; b < slabs; b++ {
-			sparseGemmBlock(dst[b*block:(b+1)*block], sw, bt[b*slab:(b+1)*slab], 0, m, 0, n, n, bias)
-		}
-		return
-	}
-	g := sparseGemmJobs.Get().(*sparseGemmJob)
-	g.dst, g.sw, g.bt, g.bias = dst, sw, bt, bias
-	g.n = n
-	g.mt, g.nt = mt, nt
-	g.blockLen, g.slabLen = m*n, n*k
-	RunTiles(tiles, g)
-}
-
-// sparseDenseJob is the pooled work descriptor of a row-tiled sparse FC
-// product, the sparse twin of denseJob. Exactly one of x (single image)
-// or xs (batch) is set.
-type sparseDenseJob struct {
-	TileJob
-	dst  []int32
-	sw   *SparseWeights
-	bias []int32
-	x    []int8
-	xs   []*QTensor
-	out  int
-}
-
-var sparseDenseJobs = sync.Pool{New: func() any { return new(sparseDenseJob) }}
-
-func (d *sparseDenseJob) Job() *TileJob { return &d.TileJob }
-
-func (d *sparseDenseJob) Recycle() {
-	d.dst, d.sw, d.bias, d.x, d.xs = nil, nil, nil, nil, nil
-	sparseDenseJobs.Put(d)
-}
-
-func (d *sparseDenseJob) Tile(t int) {
-	o0 := t * tileM
-	o1 := min(o0+tileM, d.out)
-	if d.x != nil {
-		// Single image: the FC product is the n=1 column of the block
-		// kernel (dst row stride 1).
-		sparseGemmBlock(d.dst, d.sw, d.x, o0, o1, 0, 1, 1, d.bias)
-		return
-	}
-	sparseDenseRows(d.dst, d.sw, d.bias, d.xs, d.out, o0, o1)
-}
-
-// sparseDenseInt8Tiled computes the sparse FC product for one image (xd
-// set) or a batch (xs set), splitting tileM-row output bands across the
-// worker pool — the sparse form of denseInt8Tiled.
-func sparseDenseInt8Tiled(dst []int32, sw *SparseWeights, bias []int32, xd []int8, xs []*QTensor, out int) {
-	tiles := (out + tileM - 1) / tileM
-	if tiles <= 1 || Workers() <= 1 {
-		if xs == nil {
-			sparseGemmBlock(dst, sw, xd, 0, out, 0, 1, 1, bias)
-			return
-		}
-		sparseDenseRows(dst, sw, bias, xs, out, 0, out)
-		return
-	}
-	d := sparseDenseJobs.Get().(*sparseDenseJob)
-	d.dst, d.sw, d.bias = dst, sw, bias
-	d.x, d.xs = xd, xs
-	d.out = out
-	RunTiles(tiles, d)
-}
-
-// Conv2DInt8GemmSparse is the sparse form of Conv2DInt8Gemm: im2col
-// into *col, then one sparse tiled GEMM into *acc that skips fully-zero
-// weight blocks. Bit-exact with Conv2DInt8Gemm and Conv2DInt8 on the
-// unpacked weights at every worker count.
+// Conv2DInt8GemmSparse is the sparse form of Conv2DInt8Gemm — a batch of
+// one through Conv2DInt8GemmBatchSparse. Bit-exact with Conv2DInt8Gemm
+// and Conv2DInt8 on the unpacked weights at every worker count.
 func Conv2DInt8GemmSparse(x *QTensor, sw *SparseWeights, biasQ []int32, stride, pad int, col *[]int8, acc *[]int32) (ConvShape, error) {
-	hdr := sw.header()
-	sh, err := ConvShapeOf(x, &hdr, biasQ, stride, pad)
-	if err != nil {
-		return sh, err
-	}
-	if sw.M != sh.OutC || sw.K != sh.Cols() {
-		return sh, fmt.Errorf("quant: sparse conv weights %dx%d do not match geometry %dx%d", sw.M, sw.K, sh.OutC, sh.Cols())
-	}
-	*col = growInt8(*col, sh.Cols()*sh.Pixels())
-	*acc = growInt32(*acc, sh.AccLen())
-	Im2colInt8(x, sh, *col)
-	sparseGemmInt8Tiled(*acc, sw, *col, 1, sh.Pixels(), biasQ)
-	return sh, nil
+	xs := [1]*QTensor{x}
+	return Conv2DInt8GemmBatchSparse(xs[:], sw, biasQ, stride, pad, col, acc)
 }
 
-// DenseInt8GemmSparse is the sparse form of DenseInt8Gemm. Bit-exact
-// with the dense and naive FC kernels on the unpacked weights at every
-// worker count.
+// DenseInt8GemmSparse is the sparse form of DenseInt8Gemm — a batch of
+// one through DenseInt8GemmBatchSparse. Bit-exact with the dense and
+// naive FC kernels on the unpacked weights at every worker count.
 func DenseInt8GemmSparse(x *QTensor, sw *SparseWeights, biasQ []int32, acc *[]int32) (int, error) {
-	if len(sw.Dims) != 2 {
-		return 0, fmt.Errorf("quant: fc weights must be 2-D, got %v", sw.Dims)
-	}
-	out, in := sw.M, sw.K
-	if len(x.Data) != in {
-		return 0, fmt.Errorf("quant: fc input %d != %d", len(x.Data), in)
-	}
-	if len(biasQ) != out {
-		return 0, fmt.Errorf("quant: fc bias length %d != %d", len(biasQ), out)
-	}
-	*acc = growInt32(*acc, out)
-	sparseDenseInt8Tiled(*acc, sw, biasQ, x.Data, nil, out)
-	return out, nil
+	xs := [1]*QTensor{x}
+	return DenseInt8GemmBatchSparse(xs[:], sw, biasQ, acc)
 }
 
 // Conv2DInt8GemmBatchSparse is the sparse form of Conv2DInt8GemmBatch:
-// every image's patch matrix stacks into one multi-RHS sparse GEMM.
-// Image b's accumulators keep the single-image layout at
+// the same padded slabs and tap tables, walked by the skip-zero kernel
+// (sparseConvBlock), so pruned taps are never read. Image b's
+// accumulators keep the single-image layout at
 // (*acc)[b*sh.AccLen():(b+1)*sh.AccLen()].
 func Conv2DInt8GemmBatchSparse(xs []*QTensor, sw *SparseWeights, biasQ []int32, stride, pad int, col *[]int8, acc *[]int32) (ConvShape, error) {
 	if err := validateBatch(xs); err != nil {
@@ -185,14 +44,7 @@ func Conv2DInt8GemmBatchSparse(xs []*QTensor, sw *SparseWeights, biasQ []int32, 
 	if sw.M != sh.OutC || sw.K != sh.Cols() {
 		return sh, fmt.Errorf("quant: sparse conv weights %dx%d do not match geometry %dx%d", sw.M, sw.K, sh.OutC, sh.Cols())
 	}
-	n := len(xs)
-	slab := sh.Cols() * sh.Pixels()
-	*col = growInt8(*col, n*slab)
-	*acc = growInt32(*acc, n*sh.AccLen())
-	for b, x := range xs {
-		Im2colInt8(x, sh, (*col)[b*slab:(b+1)*slab])
-	}
-	sparseGemmInt8Tiled(*acc, sw, *col, n, sh.Pixels(), biasQ)
+	convLower(xs, sh, nil, sw, biasQ, col, acc)
 	return sh, nil
 }
 
@@ -212,8 +64,7 @@ func DenseInt8GemmBatchSparse(xs []*QTensor, sw *SparseWeights, biasQ []int32, a
 	if len(biasQ) != out {
 		return 0, fmt.Errorf("quant: fc bias length %d != %d", len(biasQ), out)
 	}
-	n := len(xs)
-	*acc = growInt32(*acc, n*out)
-	sparseDenseInt8Tiled(*acc, sw, biasQ, nil, xs, out)
+	*acc = growInt32(*acc, len(xs)*out)
+	fcLower(*acc, nil, sw, biasQ, xs, in, out)
 	return out, nil
 }

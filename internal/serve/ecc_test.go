@@ -136,6 +136,9 @@ func auditEndpoints(t *testing.T, ts *httptest.Server) {
 		return resp
 	}
 
+	// oversize is valid JSON longer than any endpoint's body bound (the
+	// largest, /v1/infer's, is about 100 KB for the tiny input shape).
+	oversize := `{"pad":"` + strings.Repeat("x", 1<<18) + `"}`
 	cases := []struct {
 		name   string
 		method string
@@ -157,6 +160,12 @@ func auditEndpoints(t *testing.T, ts *httptest.Server) {
 		{"voltage bad body", http.MethodPost, "/v1/fleet/voltage", "{nope", http.StatusBadRequest},
 		{"governor bad body", http.MethodPost, "/v1/fleet/governor", "{nope", http.StatusBadRequest},
 		{"ecc bad body", http.MethodPost, "/v1/fleet/ecc", "{nope", http.StatusBadRequest},
+		// Oversized bodies on every POST endpoint.
+		{"classify oversize", http.MethodPost, "/v1/classify", oversize, http.StatusRequestEntityTooLarge},
+		{"infer oversize", http.MethodPost, "/v1/infer", oversize, http.StatusRequestEntityTooLarge},
+		{"voltage oversize", http.MethodPost, "/v1/fleet/voltage", oversize, http.StatusRequestEntityTooLarge},
+		{"governor oversize", http.MethodPost, "/v1/fleet/governor", oversize, http.StatusRequestEntityTooLarge},
+		{"ecc oversize", http.MethodPost, "/v1/fleet/ecc", oversize, http.StatusRequestEntityTooLarge},
 		// Domain validation.
 		{"voltage zero mv", http.MethodPost, "/v1/fleet/voltage", `{"board":0,"mv":0}`, http.StatusBadRequest},
 		{"voltage bad board", http.MethodPost, "/v1/fleet/voltage", `{"board":99,"mv":600}`, http.StatusBadRequest},

@@ -65,6 +65,10 @@ type Server struct {
 	mux     *http.ServeMux
 	tracer  *obs.Tracer
 	started time.Time
+	// inferBodyMax bounds a /v1/infer body: 32 bytes per input value
+	// covers the longest float JSON encoding plus its separator
+	// (image_b64 needs under 6), and 4 KiB covers the envelope.
+	inferBodyMax int64
 
 	classifyReqs   atomic.Int64
 	inferReqs      atomic.Int64
@@ -130,6 +134,7 @@ func New(sched fleet.Scheduler, cfg Config) *Server {
 			0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1)
 	}
 	s.tracer.SetEnabled(cfg.Trace)
+	s.inferBodyMax = 4<<10 + 32*int64(sched.InputShape().Elems())
 	s.batch.tracer = s.tracer
 	s.batch.onBatch = func(kind string, units int) {
 		s.batchSizes[kind].Observe(float64(units))
@@ -284,9 +289,9 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	dec := tr.Root().Child(obs.StageDecode)
 	var req classifyRequest
 	if r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := decodeBody(w, r, controlBodyMax, &req); err != nil {
 			dec.End()
-			s.errorJSON(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+			s.errorForBody(w, err)
 			return
 		}
 	}
@@ -304,6 +309,26 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	default:
 		s.errorForSubmit(w, err)
 	}
+}
+
+// controlBodyMax bounds the JSON bodies of /v1/classify and the fleet
+// control endpoints, which carry a handful of scalar fields.
+const controlBodyMax = 64 << 10
+
+// decodeBody decodes r's JSON body into v, reading at most limit bytes.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
+	return json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+}
+
+// errorForBody maps a decodeBody error to its HTTP shape: 413 when the
+// body overran its bound, 400 for malformed JSON.
+func (s *Server) errorForBody(w http.ResponseWriter, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		s.errorJSON(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+		return
+	}
+	s.errorJSON(w, http.StatusBadRequest, "bad JSON: "+err.Error())
 }
 
 // errorForSubmit maps a classify/infer submission error to its HTTP
@@ -392,9 +417,9 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	}
 	dec := tr.Root().Child(obs.StageDecode)
 	var req inferRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(w, r, s.inferBodyMax, &req); err != nil {
 		dec.End()
-		s.errorJSON(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+		s.errorForBody(w, err)
 		return
 	}
 	img, err := s.decodeInferImage(req)
@@ -459,8 +484,8 @@ func (s *Server) handleVoltage(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req voltageRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.errorJSON(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	if err := decodeBody(w, r, controlBodyMax, &req); err != nil {
+		s.errorForBody(w, err)
 		return
 	}
 	if req.MV <= 0 {
@@ -546,8 +571,8 @@ func (s *Server) handleGovernor(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusOK, s.governorReport(k))
 	case http.MethodPost:
 		var req governorRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			s.errorJSON(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+		if err := decodeBody(w, r, controlBodyMax, &req); err != nil {
+			s.errorForBody(w, err)
 			return
 		}
 		tn := fleet.GovernorTuning{
@@ -630,8 +655,8 @@ func (s *Server) handleECC(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusOK, s.eccReport(k))
 	case http.MethodPost:
 		var req eccRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			s.errorJSON(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+		if err := decodeBody(w, r, controlBodyMax, &req); err != nil {
+			s.errorForBody(w, err)
 			return
 		}
 		if req.ScrubIntervalMS < 0 {
